@@ -9,8 +9,9 @@ where the paper's hardware implements it from scratch:
   precompute table (mirroring the FPGA coprocessor's precompute module).
 - :mod:`repro.crypto.digests` — SHA-256 digests and hash chains (the
   coprocessor's hash-chaining technique and NeoBFT's O(1) log hash).
-- :mod:`repro.crypto.hmacvec` — per-receiver HMAC vectors (PBFT-style
-  authenticators and the aom-hm header authenticator).
+- :mod:`repro.crypto.hmacvec` — the simulation's one MAC
+  (:func:`compute_hmac`, keyed BLAKE2s) and per-receiver HMAC vectors
+  (PBFT-style authenticators and the aom-hm header authenticator).
 - :mod:`repro.crypto.backend` — ``real`` (full EC math) and ``fast``
   (simulation-grade, semantics-preserving) backends behind one interface,
   both charging identical simulated CPU costs via the

@@ -5,8 +5,9 @@ Two interchangeable backends sit behind one interface:
 - :class:`RealBackend` signs with the from-scratch secp256k1 ECDSA in
   :mod:`repro.crypto.ecdsa`. Used by the crypto test suite and available
   for (slow) end-to-end runs.
-- :class:`FastBackend` produces simulation-grade signatures: a SipHash tag
-  under a per-identity secret held *only* by the :class:`KeyAuthority`.
+- :class:`FastBackend` produces simulation-grade signatures: a keyed
+  BLAKE2s tag (:func:`~repro.crypto.hmacvec.compute_hmac`) under a
+  per-identity secret held *only* by the :class:`KeyAuthority`.
   Within the simulation it preserves the security semantics that matter to
   the protocols — a signature verifies if and only if it was produced by
   the claimed signer's own ``sign`` call over exactly those bytes — while
@@ -23,13 +24,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 from repro.crypto.costmodel import CostModel
 from repro.crypto.digests import sha256_digest
 from repro.crypto.ecdsa import PrivateKey, PublicKey
-from repro.crypto.siphash import halfsiphash24, siphash24
-from repro.fastpath import get_cache
+from repro.crypto.hmacvec import compute_hmac
 
 
 @dataclass(frozen=True)
@@ -124,16 +124,8 @@ class RealBackend(SignatureBackend):
         return public.verify(sha256_digest(data), (r, s))
 
 
-#: Sign-then-verify pairs recompute the same tag: the signer's tag is the
-#: verifier's expected value, so verifies hit what sign stored (and quorum
-#: re-verifies hit again). Keyed on (secret, data) — the secret already
-#: encodes both the signer identity and the backend's seed, so distinct
-#: backends sharing this process-global cache cannot collide.
-_FASTSIGN_CACHE = get_cache("fastsign", maxsize=1 << 15)
-
-
 class FastBackend(SignatureBackend):
-    """Simulation-grade signatures: SipHash tags under authority-held secrets."""
+    """Simulation-grade signatures: keyed-hash tags under authority-held secrets."""
 
     name = "fast"
 
@@ -149,26 +141,16 @@ class FastBackend(SignatureBackend):
                 self._seed + b"/identity/" + node_id.to_bytes(8, "big")
             ).digest()[:16]
 
-    @staticmethod
-    def _tag(secret: bytes, data: bytes) -> bytes:
-        cache = _FASTSIGN_CACHE
-        if not cache.enabled:
-            return siphash24(secret, data) + siphash24(secret[::-1], data)
-        key = (secret, data)
-        tag = cache.lookup(key)
-        if tag is None:
-            tag = siphash24(secret, data) + siphash24(secret[::-1], data)
-            cache.store(key, tag)
-        return tag
-
     def sign(self, node_id: int, data: bytes) -> Signature:
-        return Signature(node_id, self._tag(self._secrets[node_id], data), self.name)
+        return Signature(
+            node_id, compute_hmac(self._secrets[node_id], data, self.TAG_SIZE), self.name
+        )
 
     def verify(self, signature: Signature, data: bytes) -> bool:
         secret = self._secrets.get(signature.signer_id)
         if secret is None or signature.scheme != self.name:
             return False
-        return signature.payload == self._tag(secret, data)
+        return signature.payload == compute_hmac(secret, data, self.TAG_SIZE)
 
 
 class CryptoContext:
@@ -271,7 +253,7 @@ class CryptoContext:
         """Symmetric MAC tag with cost accounting."""
         self._count("mac")
         self._bill(self.cost.hmac_ns)
-        return halfsiphash24(key[:8].ljust(8, b"\x00"), data)
+        return compute_hmac(key, data)
 
     def verify_mac(self, key: bytes, data: bytes, tag: bytes) -> bool:
         """Verify a MAC tag with cost accounting."""

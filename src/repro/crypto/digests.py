@@ -13,44 +13,19 @@ from __future__ import annotations
 import hashlib
 from typing import List, Optional
 
-from repro.fastpath import get_cache
-
 DIGEST_SIZE = 32
 
 _EMPTY = b"\x00" * DIGEST_SIZE
 
-#: Every replica digests the same request bytes, and senders re-digest what
-#: receivers verify, so most digests in a run are repeats.
-_DIGEST_CACHE = get_cache("sha256", maxsize=1 << 15)
-
-#: All replicas of a group extend identical hash chains, so each link is
-#: computed once and replayed n-1 times from cache.
-_CHAIN_CACHE = get_cache("chain", maxsize=1 << 15)
-
 
 def sha256_digest(data: bytes) -> bytes:
-    """SHA-256 of ``data`` (32 bytes), memoized on the input bytes."""
-    cache = _DIGEST_CACHE
-    if not cache.enabled:
-        return hashlib.sha256(data).digest()
-    digest = cache.lookup(data)
-    if digest is None:
-        digest = hashlib.sha256(data).digest()
-        cache.store(data, digest)
-    return digest
+    """SHA-256 of ``data`` (32 bytes)."""
+    return hashlib.sha256(data).digest()
 
 
 def chain_step(previous: bytes, element_digest: bytes) -> bytes:
     """One hash-chain link: H(previous || element_digest)."""
-    cache = _CHAIN_CACHE
-    if not cache.enabled:
-        return hashlib.sha256(previous + element_digest).digest()
-    key = (previous, element_digest)
-    head = cache.lookup(key)
-    if head is None:
-        head = hashlib.sha256(previous + element_digest).digest()
-        cache.store(key, head)
-    return head
+    return hashlib.sha256(previous + element_digest).digest()
 
 
 class HashChain:
@@ -107,25 +82,12 @@ class HashChain:
 
 
 def digest_concat(*parts: bytes) -> bytes:
-    """Digest of length-prefixed concatenation (unambiguous encoding).
-
-    Memoized on the parts tuple: every replica of a group digests the
-    same canonical message encodings, so all but the first computation
-    of each digest are cache hits.
-    """
-    cache = _DIGEST_CACHE
-    if cache.enabled:
-        digest = cache.lookup(parts)
-        if digest is not None:
-            return digest
+    """Digest of length-prefixed concatenation (unambiguous encoding)."""
     hasher = hashlib.sha256()
     for part in parts:
         hasher.update(len(part).to_bytes(4, "big"))
         hasher.update(part)
-    digest = hasher.digest()
-    if cache.enabled:
-        cache.store(parts, digest)
-    return digest
+    return hasher.digest()
 
 
 def digest_int(value: int, width: int = 8) -> bytes:

@@ -9,21 +9,27 @@ Two consumers:
 - PBFT-style baselines authenticate replica-to-replica messages with MAC
   vectors over pairwise session keys (the classic O(N^2) authenticator
   pattern Table 1 charges them for).
+
+:func:`compute_hmac` is the simulation's one MAC primitive: every host
+tag, every ``fast``-scheme switch tag and every ``FastBackend`` signature
+tag is keyed BLAKE2s, a real keyed MAC computed at C speed. Simulated
+time never depends on it — costs are charged from the cost model — so
+genuine HalfSipHash is needed only where the switch pipeline itself is
+modelled (``TagScheme("real")``).
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
-
-from repro.crypto.siphash import halfsiphash24
 
 HMAC_TAG_SIZE = 4
 
 
-def compute_hmac(key: bytes, data: bytes) -> bytes:
-    """One HalfSipHash-2-4 tag (4 bytes) as used by the switch."""
-    return halfsiphash24(key, data)
+def compute_hmac(key: bytes, data: bytes, size: int = HMAC_TAG_SIZE) -> bytes:
+    """A ``size``-byte keyed BLAKE2s tag over ``data`` (keys up to 32 bytes)."""
+    return hashlib.blake2s(data, key=key, digest_size=size).digest()
 
 
 @dataclass(frozen=True)

@@ -96,37 +96,15 @@ def _sipround32(v0: int, v1: int, v2: int, v3: int):
     return v0, v1, v2, v3
 
 
-from repro.fastpath import get_cache
-
-#: Tags are recomputed at every verify site (sender MACs, receiver checks
-#: the same (key, data) pair), so roughly half of all one-shot calls are
-#: repeats — served from here.
-_HMAC_CACHE = get_cache("hmac", maxsize=1 << 15)
-
-
 def halfsiphash24(key: bytes, data: bytes) -> bytes:
-    """HalfSipHash-2-4: 8-byte ``key``, arbitrary ``data`` -> 4-byte tag."""
+    """HalfSipHash-2-4: 8-byte ``key``, arbitrary ``data`` -> 4-byte tag.
+
+    The round function is unrolled inline; the property tests check the
+    result against :class:`HalfSipHashState`, which mirrors the hardware
+    pipeline pass by pass.
+    """
     if len(key) != 8:
         raise ValueError("HalfSipHash-2-4 requires an 8-byte key")
-    cache = _HMAC_CACHE
-    if not cache.enabled:
-        return _halfsiphash24_raw(key, data)
-    cache_key = (key, data)
-    tag = cache.lookup(cache_key)
-    if tag is None:
-        tag = _halfsiphash24_raw(key, data)
-        cache.store(cache_key, tag)
-    return tag
-
-
-def _halfsiphash24_raw(key: bytes, data: bytes) -> bytes:
-    """One-shot HalfSipHash-2-4 with the round function unrolled inline.
-
-    Byte-identical to driving :class:`HalfSipHashState` (the property
-    tests cross-check the two); kept separate because the one-shot path
-    runs millions of times per simulation while the state machine exists
-    to mirror the hardware pipeline pass-by-pass.
-    """
     k0 = int.from_bytes(key[:4], "little")
     k1 = int.from_bytes(key[4:], "little")
     v0 = k0
@@ -188,10 +166,10 @@ def _halfsiphash24_raw(key: bytes, data: bytes) -> bytes:
 class HalfSipHashState:
     """Incremental HalfSipHash-2-4, one 4-byte message word per absorb step.
 
-    The simulated switch pipeline (:mod:`repro.switchfab.hmac_engine`)
-    drives this state machine pass-by-pass exactly as the hardware does:
-    each pipeline pass performs a bounded number of SipRounds, so the number
-    of :meth:`rounds_executed` maps directly onto pipeline passes.
+    Mirrors how the switch hardware modelled in
+    :mod:`repro.switchfab.hmac_pipeline` spreads the hash over pipeline
+    passes: each pass performs a bounded number of SipRounds, so
+    :attr:`rounds_executed` maps directly onto pipeline passes.
     """
 
     C_ROUNDS = 2

@@ -1,172 +1,15 @@
-"""Wall-clock fast path: bounded memo caches and their knobs.
+"""No-op cache hooks that ``perfbench/run.py`` calls.
 
-The simulator's hot loops recompute a handful of pure functions millions
-of times per run: SHA-256 digests, HalfSipHash MAC tags, FastBackend
-signature tags, hash-chain links. Every one of them is deterministic in
-its inputs, so the results can be memoized without changing anything a
-run *does* — only how long the wall clock takes to do it. Simulated
-time is untouched: cost accounting (``CryptoContext`` billing, CPU
-charges) happens at the call sites, before the cache is consulted.
-
-All caches live here so one switch can turn the whole fast path off
-(``set_caches_enabled(False)``) for A/B determinism tests, and so the
-harness can publish hit/miss counters into the telemetry registry at
-the end of a run (``publish_cache_metrics``).
-
-Caches are process-global and shared across runs. That is sound because
-every cached function is a pure function of its key — a value computed
-during one run is byte-identical when recomputed in another — and it is
-what makes repeated sweeps fast: later points reuse tags the first
-point already computed.
+The simulator keeps no memo caches; both functions do nothing.
 """
 
-from __future__ import annotations
-
-from collections import OrderedDict
-from typing import Dict, Iterable, Optional, Tuple
-
-__all__ = [
-    "LruCache",
-    "get_cache",
-    "cache_stats",
-    "snapshot_counters",
-    "set_caches_enabled",
-    "clear_caches",
-    "reset_cache_stats",
-    "publish_cache_metrics",
-]
+from typing import Dict, Tuple
 
 
-class LruCache:
-    """A bounded least-recently-used map with hit/miss accounting.
-
-    The lookup/store split (instead of a get-or-compute callback) keeps
-    the hot path free of closure allocation::
-
-        value = cache.lookup(key)      # None on miss
-        if value is None:
-            value = compute(...)
-            cache.store(key, value)
-
-    ``None`` is therefore not a cacheable value — every cached function
-    here returns bytes or small frozen objects, never ``None``.
-    """
-
-    __slots__ = ("name", "maxsize", "enabled", "hits", "misses", "_data")
-
-    def __init__(self, name: str, maxsize: int = 4096):
-        if maxsize < 1:
-            raise ValueError(f"cache maxsize must be >= 1, got {maxsize!r}")
-        self.name = name
-        self.maxsize = maxsize
-        self.enabled = True
-        self.hits = 0
-        self.misses = 0
-        self._data: "OrderedDict" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def lookup(self, key):
-        """Cached value for ``key``, or ``None`` on a miss."""
-        data = self._data
-        value = data.get(key)
-        if value is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        data.move_to_end(key)
-        return value
-
-    def store(self, key, value) -> None:
-        """Insert ``key -> value``, evicting the least-recently-used entry."""
-        data = self._data
-        data[key] = value
-        if len(data) > self.maxsize:
-            data.popitem(last=False)
-
-    def clear(self) -> None:
-        """Drop every entry (hit/miss counters are kept)."""
-        self._data.clear()
-
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache (0.0 when never used)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
-#: Global registry: every fast-path cache in the process, by name.
-_CACHES: Dict[str, LruCache] = {}
-
-
-def get_cache(name: str, maxsize: int = 4096) -> LruCache:
-    """The process-wide cache called ``name`` (created on first use)."""
-    cache = _CACHES.get(name)
-    if cache is None:
-        cache = LruCache(name, maxsize)
-        _CACHES[name] = cache
-    return cache
-
-
-def cache_stats() -> Dict[str, Dict[str, float]]:
-    """Per-cache statistics, for benchmarks and debugging."""
-    return {
-        name: {
-            "hits": cache.hits,
-            "misses": cache.misses,
-            "hit_rate": cache.hit_rate(),
-            "size": len(cache),
-            "maxsize": cache.maxsize,
-            "enabled": cache.enabled,
-        }
-        for name, cache in sorted(_CACHES.items())
-    }
+def clear_caches() -> None:
+    """Nothing to empty."""
 
 
 def snapshot_counters() -> Dict[str, Tuple[int, int]]:
-    """``{name: (hits, misses)}`` — cheap baseline for per-run deltas."""
-    return {name: (cache.hits, cache.misses) for name, cache in _CACHES.items()}
-
-
-def set_caches_enabled(enabled: bool, names: Optional[Iterable[str]] = None) -> None:
-    """Enable or disable caches (all of them when ``names`` is None).
-
-    Disabled caches are bypassed entirely by their call sites: results
-    are recomputed from scratch, exactly as the pre-fast-path code did.
-    """
-    for name in names if names is not None else list(_CACHES):
-        get_cache(name).enabled = enabled
-
-
-def clear_caches(names: Optional[Iterable[str]] = None) -> None:
-    """Empty caches (all of them when ``names`` is None)."""
-    for name in names if names is not None else list(_CACHES):
-        cache = _CACHES.get(name)
-        if cache is not None:
-            cache.clear()
-
-
-def reset_cache_stats() -> None:
-    """Zero every cache's hit/miss counters (entries are kept)."""
-    for cache in _CACHES.values():
-        cache.hits = 0
-        cache.misses = 0
-
-
-def publish_cache_metrics(metrics, since: Optional[Dict[str, Tuple[int, int]]] = None) -> None:
-    """Publish per-cache hit/miss counters into a telemetry registry.
-
-    ``metrics`` is a :class:`repro.telemetry.MetricsRegistry`. Because the
-    caches are process-global, pass ``since`` (a ``snapshot_counters()``
-    taken at run start) to publish this run's delta rather than the
-    process lifetime totals.
-    """
-    baseline = since or {}
-    for name, cache in _CACHES.items():
-        base_hits, base_misses = baseline.get(name, (0, 0))
-        hits = cache.hits - base_hits
-        misses = cache.misses - base_misses
-        if hits:
-            metrics.inc("fastpath.cache", amount=hits, cache=name, event="hit")
-        if misses:
-            metrics.inc("fastpath.cache", amount=misses, cache=name, event="miss")
+    """``{cache: (hits, misses)}``; always empty."""
+    return {}

@@ -23,11 +23,10 @@ Timing consequences (these produce Figures 4 and 6):
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.crypto.hmacvec import HmacVector
+from repro.crypto.hmacvec import HmacVector, compute_hmac
 from repro.crypto.siphash import halfsiphash24
 from repro.sim.clock import ns, us
 from repro.switchfab.tofino import (
@@ -47,11 +46,13 @@ MAX_RECEIVERS = SUBGROUP_SIZE * LOOPBACK_PORTS  # 64, as in the paper
 class TagScheme:
     """How HMAC tag bytes are actually produced.
 
-    ``real`` computes genuine HalfSipHash-2-4 (used by the crypto and aom
-    test suites); ``fast`` computes a keyed SHA-256 truncation via hashlib
-    (C speed) with identical interface and security semantics inside the
+    ``real`` computes genuine HalfSipHash-2-4, the function the switch
+    hardware runs; ``fast`` (the default) computes the simulation's one
+    MAC, :func:`~repro.crypto.hmacvec.compute_hmac` (keyed BLAKE2s at C
+    speed), with identical interface and security semantics inside the
     simulation. Simulated timing is identical either way — timing comes
-    from the engine model, never from wall-clock.
+    from the engine model, never from wall-clock — so ``real`` is the
+    bit-neutral reference for ``fast``.
     """
 
     def __init__(self, name: str = "fast"):
@@ -62,7 +63,7 @@ class TagScheme:
         if name == "real":
             self._fn = lambda key, data: halfsiphash24(key[:8].ljust(8, b"\x00"), data)
         else:
-            self._fn = lambda key, data: hashlib.sha256(key + data).digest()[:4]
+            self._fn = compute_hmac
 
     def tag(self, key: bytes, data: bytes) -> bytes:
         """Compute one 4-byte tag."""

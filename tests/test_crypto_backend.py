@@ -273,3 +273,46 @@ class TestPairwiseKeys:
         for receiver in (1, 2, 3):
             assert keys.verify(0, receiver, b"payload", vector)
         assert not keys.verify(0, 1, b"tampered", vector)
+
+
+class TestComputeHmac:
+    """The one MAC every simulated host and ``fast`` switch tag uses."""
+
+    KEY = st.binary(min_size=1, max_size=32)
+
+    @given(KEY, st.binary(max_size=64), st.integers(min_value=1, max_value=32))
+    def test_tag_has_size_bytes(self, key, data, size):
+        assert len(compute_hmac(key, data, size)) == size
+
+    @given(KEY, KEY, st.binary(max_size=64))
+    def test_verifies_only_under_same_key(self, key, other, data):
+        assert compute_hmac(key, data) == compute_hmac(key, data)
+        if other != key:
+            assert compute_hmac(other, data, 16) != compute_hmac(key, data, 16)
+
+    @given(KEY, st.binary(min_size=1, max_size=64), st.integers(min_value=0))
+    def test_flipped_bit_fails(self, key, data, bit):
+        bit %= len(data) * 8
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        assert compute_hmac(key, bytes(flipped), 16) != compute_hmac(key, data, 16)
+
+    @given(KEY, st.binary(min_size=1, max_size=64))
+    def test_truncated_input_fails(self, key, data):
+        assert compute_hmac(key, data[:-1], 16) != compute_hmac(key, data, 16)
+
+    @given(KEY, st.binary(max_size=64))
+    def test_crypto_context_mac_is_compute_hmac(self, key, data):
+        ctx = CryptoContext(1, make_authority("fast"), CostModel())
+        assert ctx.mac(key, data) == compute_hmac(key, data)
+        assert ctx.verify_mac(key, data, compute_hmac(key, data))
+
+    @given(st.binary(max_size=64))
+    def test_fast_backend_tag_is_bound_to_identity(self, data):
+        backend = FastBackend()
+        backend.register(1)
+        backend.register(2)
+        sig = backend.sign(1, data)
+        relabeled = type(sig)(signer_id=2, payload=sig.payload, scheme=sig.scheme)
+        assert backend.verify(sig, data)
+        assert not backend.verify(relabeled, data)

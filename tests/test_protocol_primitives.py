@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.digests import sha256_digest
-from repro.crypto.hmacvec import PairwiseKeys
-from repro.crypto.siphash import halfsiphash24
+from repro.crypto.hmacvec import PairwiseKeys, compute_hmac
 from repro.protocols.batching import Batcher, TimedBatcher
 from repro.protocols.log import EntryKind, LogEntry, NOOP_DIGEST, ReplicaLog
 from repro.protocols.messages import (
@@ -244,7 +243,7 @@ class TestTimedBatcher:
 class TestClientMessageAuth:
     def setup_method(self):
         self.pairwise = PairwiseKeys(b"test")
-        self.mac = lambda key, data: halfsiphash24(key[:8].ljust(8, b"\0"), data)
+        self.mac = compute_hmac
 
     def verify_fn(self, key, data, tag):
         return self.mac(key, data) == tag

@@ -104,6 +104,16 @@ class TestCancellation:
         assert fired == ["keep"]
         assert keep.time == 10
 
+    def test_live_events_counter(self):
+        sim = Simulator()
+        handles = [sim.schedule(i + (1 << 20), lambda: None) for i in range(10)]
+        assert sim.live_events == 10
+        for handle in handles[:4]:
+            handle.cancel()
+        assert sim.live_events == 6
+        sim.run()
+        assert sim.live_events == 0
+
 
 class TestRunBounds:
     def test_run_until_parks_clock(self):
@@ -167,85 +177,9 @@ class TestRunBounds:
         assert sim.peek_time() == 20
 
 
-class TestTimerWheel:
-    """The wheel is a staging area: executions are identical with it off."""
-
-    def _trace(self, timer_wheel: bool, seed: int = 3):
-        import random
-
-        sim = Simulator(seed=seed, timer_wheel=timer_wheel)
-        rng = random.Random(seed)
-        fired = []
-        handles = []
-
-        def arm(tag):
-            fired.append((tag, sim.now))
-            if len(fired) < 400:
-                # Delays straddle the wheel threshold and all granularities.
-                delay = rng.choice([1, 100, 70_000, 1 << 18, 1 << 23, 1 << 27])
-                handles.append(sim.schedule(delay, arm, len(fired)))
-                if len(handles) % 3 == 0:
-                    handles[rng.randrange(len(handles))].cancel()
-
-        sim.schedule(0, arm, 0)
-        sim.run()
-        return fired
-
-    def test_wheel_on_off_identical_execution(self):
-        assert self._trace(timer_wheel=True) == self._trace(timer_wheel=False)
-
-    def test_wheel_resident_timer_cancel_never_fires(self):
-        sim = Simulator()
-        fired = []
-        handle = sim.schedule(1 << 20, fired.append, "x")  # lands in the wheel
-        sim.schedule(1 << 21, fired.append, "y")
-        handle.cancel()
-        sim.run()
-        assert fired == ["y"]
-
-    def test_peek_time_sees_wheel_events(self):
-        sim = Simulator()
-        sim.schedule(1 << 20, lambda: None)  # wheel
-        assert sim.peek_time() == 1 << 20
-        sim2 = Simulator()
-        sim2.schedule(1 << 20, lambda: None)  # wheel
-        sim2.schedule(10, lambda: None)  # heap
-        assert sim2.peek_time() == 10
-
-    def test_same_time_cross_structure_preserves_schedule_order(self):
-        # An event routed to the heap and one routed to the wheel that
-        # land at the same instant still fire in scheduling order.
-        sim = Simulator()
-        fired = []
-        sim.schedule(1 << 20, fired.append, "wheel-first")
-        sim.run(until=(1 << 20) - 1000)  # advance so a short delay coincides
-        sim.schedule(1000, fired.append, "heap-second")  # below wheel threshold
-        sim.run()
-        assert fired == ["wheel-first", "heap-second"]
-
-    def test_run_until_parks_before_wheel_events(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1 << 20, fired.append, "late")
-        sim.run(until=1000)
-        assert fired == [] and sim.now == 1000
-        sim.run()
-        assert fired == ["late"]
-
-    def test_live_events_counter(self):
-        sim = Simulator()
-        handles = [sim.schedule(i + (1 << 20), lambda: None) for i in range(10)]
-        assert sim.live_events == 10
-        for handle in handles[:4]:
-            handle.cancel()
-        assert sim.live_events == 6
-        sim.run()
-        assert sim.live_events == 0
-
-
 class TestCompaction:
     def test_mass_cancellation_compacts_and_survivors_fire(self):
-        sim = Simulator(timer_wheel=False)
+        sim = Simulator()
         fired = []
         handles = [sim.schedule(1000 + i, fired.append, i) for i in range(500)]
         for i, handle in enumerate(handles):
@@ -259,7 +193,7 @@ class TestCompaction:
     def test_compaction_during_run_keeps_heap_identity(self):
         # run() holds a local alias to the heap; compaction must mutate
         # in place or post-compaction schedules go to a different list.
-        sim = Simulator(timer_wheel=False)
+        sim = Simulator()
         fired = []
 
         def phase_one():
