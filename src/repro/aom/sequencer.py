@@ -24,7 +24,7 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.aom.messages import AomPacket, AuthVariant
 from repro.net.fabric import Fabric, GroupHandler
-from repro.net.packet import Packet
+from repro.net.packet import Packet, wire_size_of
 from repro.sim.engine import Simulator
 from repro.switchfab.fpga import ChainedToken, FpgaCoprocessor
 from repro.switchfab.hmac_pipeline import FoldedHmacPipeline
@@ -195,20 +195,22 @@ class AomSequencer(GroupHandler):
             self._multicast(aom_packet)
 
     def _multicast(self, aom_packet: AomPacket) -> None:
-        from repro.net.packet import wire_size_of
-
+        base_size = wire_size_of(aom_packet)
         for receiver in self.receivers:
             outgoing = aom_packet
+            size = base_size
             if self.equivocation is not None:
                 maybe = self.equivocation(receiver, aom_packet)
                 if maybe is None:
                     continue
-                outgoing = maybe
+                if maybe is not aom_packet:
+                    outgoing = maybe
+                    size = wire_size_of(maybe)
             egress = Packet(
                 src=self.switch_address,
                 dst=receiver,
                 message=outgoing,
-                size=wire_size_of(outgoing),
+                size=size,
                 sent_at=self.sim.now,
             )
             self.fabric.deliver_from_switch(receiver, egress)

@@ -83,11 +83,9 @@ class HashChain:
 
 def digest_concat(*parts: bytes) -> bytes:
     """Digest of length-prefixed concatenation (unambiguous encoding)."""
-    hasher = hashlib.sha256()
-    for part in parts:
-        hasher.update(len(part).to_bytes(4, "big"))
-        hasher.update(part)
-    return hasher.digest()
+    return hashlib.sha256(
+        b"".join(len(part).to_bytes(4, "big") + part for part in parts)
+    ).digest()
 
 
 def digest_int(value: int, width: int = 8) -> bytes:

@@ -5,7 +5,9 @@ committed no-op. The log maintains an O(1)-per-append hash chain over
 entry digests — NeoBFT replies carry the chain head (``log-hash``) so a
 client's 2f+1 matching replies prove 2f+1 replicas agree on the entire
 prefix, and the chain supports O(1) truncation for speculative rollback
-(§5.2's "roll back application state").
+(§5.2's "roll back application state"). Rollback reaches only slots above
+the committed prefix (``commit_cursor``, advanced at state-sync points), so
+each slot's undo closure is released as soon as the prefix covers it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ class LogEntry:
     evidence: Any = None  # OrderingCertificate / quorum cert / gap cert
     view: int = 0
     epoch: int = 0
-    result: bytes = b""
     executed: bool = False
     undo: Optional[Callable[[], None]] = None
     committed: bool = False
@@ -111,10 +112,16 @@ class ReplicaLog:
         """Undo execution of slots >= ``slot``; returns those entries.
 
         Undo closures run in reverse order, restoring application state to
-        just before ``slot`` executed.
+        just before ``slot`` executed. Only slots above the committed prefix
+        can be undone: a sync point releases the undo closures below it, so
+        rolling back an executed slot below ``commit_cursor`` raises.
         """
         if self.exec_cursor <= slot:
             return self.entries[slot:]
+        if slot < self.commit_cursor:
+            raise ValueError(
+                f"cannot roll back committed slot {slot} (commit_cursor={self.commit_cursor})"
+            )
         for entry in reversed(self.entries[slot : self.exec_cursor]):
             if entry.executed and entry.undo is not None:
                 entry.undo()
@@ -131,18 +138,30 @@ class ReplicaLog:
             return self.exec_cursor
         return None
 
-    def mark_executed(self, slot: int, result: bytes, undo) -> None:
-        """Record execution of the slot at the cursor."""
+    def mark_executed(self, slot: int, undo) -> None:
+        """Record execution of the slot at the cursor.
+
+        A slot already inside the committed prefix can never be rolled
+        back, so its ``undo`` is not kept.
+        """
         if slot != self.exec_cursor:
             raise ValueError(f"out-of-order execution: {slot} != {self.exec_cursor}")
         entry = self.entries[slot]
         entry.executed = True
-        entry.result = result
-        entry.undo = undo
+        entry.undo = undo if slot >= self.commit_cursor else None
         self.exec_cursor += 1
 
     def mark_committed_up_to(self, slot: int) -> None:
-        """Advance the durable prefix (state sync / commit decisions)."""
-        self.commit_cursor = max(self.commit_cursor, min(slot + 1, len(self.entries)))
-        for entry in self.entries[: self.commit_cursor]:
+        """Advance the durable prefix (state sync / commit decisions).
+
+        Walks only the newly committed slots, marking each committed and
+        releasing its undo closure (and everything the closure pins).
+        """
+        start = self.commit_cursor
+        end = min(slot + 1, len(self.entries))
+        if end <= start:
+            return
+        for entry in self.entries[start:end]:
             entry.committed = True
+            entry.undo = None
+        self.commit_cursor = end

@@ -293,7 +293,7 @@ class NeoBftReplica(BaseReplica):
                 return
             entry = self.log.get(slot)
             if entry.kind == EntryKind.NOOP:
-                self.log.mark_executed(slot, b"", None)
+                self.log.mark_executed(slot, None)
                 continue
             self._execute_request_entry(slot, entry)
 
@@ -305,7 +305,7 @@ class NeoBftReplica(BaseReplica):
             if not self.check_request_auth(request):
                 # The op still occupies the slot (ordering is fixed), but a
                 # request this replica cannot authenticate gets no reply.
-                self.log.mark_executed(slot, b"", None)
+                self.log.mark_executed(slot, None)
                 return
             result, app_undo = self.execute_op(request.op, request=request)
             self.ops_executed += 1
@@ -319,7 +319,7 @@ class NeoBftReplica(BaseReplica):
                 else:
                     self.client_table[client_id] = prev
 
-            self.log.mark_executed(slot, result, undo)
+            self.log.mark_executed(slot, undo)
             self._cancel_direct_timer(request)
             reply = ClientReply(
                 view=_view_int(self.view_id),
@@ -333,7 +333,7 @@ class NeoBftReplica(BaseReplica):
         else:
             # Duplicate of an executed request: occupies the slot, no
             # state mutation; resend the cached reply if we still have it.
-            self.log.mark_executed(slot, b"", None)
+            self.log.mark_executed(slot, None)
             self._cancel_direct_timer(request)
             if cached is not None:
                 self.send(request.client_id, cached)

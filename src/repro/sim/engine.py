@@ -1,9 +1,11 @@
 """The discrete-event engine.
 
 A :class:`Simulator` owns a virtual clock and a binary heap of pending
-events. Events scheduled for the same instant fire in the order they were
-scheduled (a monotonically increasing sequence number breaks ties), which
-makes whole-system runs bit-for-bit reproducible for a given seed.
+``(time, seq, handle)`` entries. Events scheduled for the same instant fire
+in the order they were scheduled (a monotonically increasing sequence
+number breaks ties), which makes whole-system runs bit-for-bit
+reproducible for a given seed. Keying the heap on plain tuples keeps every
+heap comparison in C.
 
 Cancellation is lazy (a flag, O(1)), but the engine counts dead entries
 and compacts the heap when more than half of the resident entries are
@@ -14,7 +16,7 @@ cancelled on every reply) cannot grow the heap without bound.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.randomness import RandomStreams
 
@@ -57,9 +59,6 @@ class EventHandle:
         if sim is not None:
             sim._note_cancel()
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<Event t={self.time} seq={self.seq} {state}>"
@@ -83,7 +82,8 @@ class Simulator:
         # layer reads this attribute and publishes only when it is set,
         # so a run without telemetry pays one None check per hook.
         self.telemetry = None
-        self._heap: List[EventHandle] = []
+        # (time, seq, handle); seq is unique, so handles are never compared.
+        self._heap: List[Tuple[int, int, EventHandle]] = []
         self._seq = 0
         self._events_processed = 0
         self._stopped = False
@@ -109,20 +109,23 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` ns from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        handle = EventHandle(self.now + delay, self._seq, callback, args, self)
-        self._seq += 1
+        time = self.now + delay
+        seq = self._seq
+        handle = EventHandle(time, seq, callback, args, self)
+        self._seq = seq + 1
         self._live += 1
-        heapq.heappush(self._heap, handle)
+        heapq.heappush(self._heap, (time, seq, handle))
         return handle
 
     def schedule_at(self, time: int, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at an absolute virtual time."""
         if time < self.now:
             raise ValueError(f"cannot schedule at {time} < now {self.now}")
-        handle = EventHandle(time, self._seq, callback, args, self)
-        self._seq += 1
+        seq = self._seq
+        handle = EventHandle(time, seq, callback, args, self)
+        self._seq = seq + 1
         self._live += 1
-        heapq.heappush(self._heap, handle)
+        heapq.heappush(self._heap, (time, seq, handle))
         return handle
 
     def stop(self) -> None:
@@ -145,7 +148,7 @@ class Simulator:
         happen), so the list object's identity must be preserved.
         """
         heap = self._heap
-        heap[:] = [event for event in heap if not event.cancelled]
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
         heapq.heapify(heap)
         self._dead = 0
 
@@ -154,10 +157,10 @@ class Simulator:
     def peek_time(self) -> Optional[int]:
         """Virtual time of the next pending event, or None when idle."""
         heap = self._heap
-        while heap and heap[0].cancelled:
+        while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
             self._dead -= 1
-        return heap[0].time if heap else None
+        return heap[0][0] if heap else None
 
     # ------------------------------------------------------------ run loop
 
@@ -191,15 +194,16 @@ class Simulator:
             if not heap:
                 park = True
                 break
-            event = pop(heap)
+            entry = pop(heap)
+            time, _, event = entry
             if event.cancelled:
                 self._dead -= 1
                 continue
-            if until is not None and event.time > until:
-                push(heap, event)
+            if until is not None and time > until:
+                push(heap, entry)
                 park = True
                 break
-            self.now = event.time
+            self.now = time
             event.callback(*event.args)
             self._live -= 1
             processed += 1

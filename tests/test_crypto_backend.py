@@ -208,6 +208,15 @@ class TestDigestHelpers:
     def test_digest_concat_is_injective_on_boundaries(self):
         assert digest_concat(b"ab", b"c") != digest_concat(b"a", b"bc")
 
+    def test_digest_concat_pinned_vectors(self):
+        # Each part is prefixed with its 4-byte big-endian length.
+        assert digest_concat(b"a", b"bc").hex() == (
+            "b534ce16ac9c8b36823f39a395ce8e0e3c7ad9605b82b5444f18cadacd217a5d"
+        )
+        assert digest_concat(b"a", b"bc") == sha256_digest(b"\0\0\0\x01a\0\0\0\x02bc")
+        assert digest_concat() == sha256_digest(b"")
+        assert digest_concat(b"") == sha256_digest(b"\0\0\0\0")
+
     def test_combine_seq_and_digest(self):
         digest = sha256_digest(b"payload")
         combined = combine_seq_and_digest(7, digest)

@@ -41,9 +41,9 @@ class TestReplicaLog:
         log.append(request_entry(b"a"))
         log.append(request_entry(b"b"))
         assert log.next_unexecuted() == 0
-        log.mark_executed(0, b"ra", None)
+        log.mark_executed(0, None)
         assert log.next_unexecuted() == 1
-        log.mark_executed(1, b"rb", None)
+        log.mark_executed(1, None)
         assert log.next_unexecuted() is None
 
     def test_out_of_order_execution_rejected(self):
@@ -51,14 +51,14 @@ class TestReplicaLog:
         log.append(request_entry(b"a"))
         log.append(request_entry(b"b"))
         with pytest.raises(ValueError):
-            log.mark_executed(1, b"r", None)
+            log.mark_executed(1, None)
 
     def test_rollback_runs_undos_in_reverse(self):
         log = ReplicaLog()
         order = []
         for tag in (b"a", b"b", b"c"):
             slot = log.append(request_entry(tag))
-            log.mark_executed(slot, tag, lambda t=tag: order.append(t))
+            log.mark_executed(slot, lambda t=tag: order.append(t))
         log.rollback_to(1)
         assert order == [b"c", b"b"]
         assert log.exec_cursor == 1
@@ -67,7 +67,7 @@ class TestReplicaLog:
         log = ReplicaLog()
         for tag in (b"a", b"b", b"c"):
             slot = log.append(request_entry(tag))
-            log.mark_executed(slot, tag, None)
+            log.mark_executed(slot, None)
         old_head = log.head_hash()
         log.overwrite_with_noop(1, evidence="cert", view=3)
         assert log.head_hash() != old_head
@@ -87,7 +87,7 @@ class TestReplicaLog:
         undone = []
         for tag in (b"a", b"b", b"c"):
             slot = log.append(request_entry(tag))
-            log.mark_executed(slot, tag, lambda t=tag: undone.append(t))
+            log.mark_executed(slot, lambda t=tag: undone.append(t))
         suffix = log.overwrite_with_noop(1, evidence=None, view=1)
         assert undone == [b"c", b"b"]
         assert len(suffix) == 2
@@ -106,6 +106,57 @@ class TestReplicaLog:
         log.mark_committed_up_to(0)
         assert log.commit_cursor == 2  # never regresses
         assert log.get(0).committed and log.get(1).committed
+
+    def test_commit_releases_undo_of_newly_committed_entries_only(self):
+        log = ReplicaLog()
+        for tag in (b"a", b"b", b"c", b"d"):
+            slot = log.append(request_entry(tag))
+            log.mark_executed(slot, lambda: None)
+        log.mark_committed_up_to(0)
+        log.mark_committed_up_to(2)
+        assert [e.undo is None for e in log.entries] == [True, True, True, False]
+        assert [e.committed for e in log.entries] == [True, True, True, False]
+        assert log.commit_cursor == 3
+
+    def test_execution_below_commit_cursor_keeps_no_undo(self):
+        log = ReplicaLog()
+        for tag in (b"a", b"b"):
+            log.append(request_entry(tag))
+        log.mark_committed_up_to(0)
+        log.mark_executed(0, lambda: None)
+        log.mark_executed(1, lambda: None)
+        assert log.get(0).undo is None
+        assert log.get(1).undo is not None
+
+    def test_rollback_of_committed_slot_raises(self):
+        log = ReplicaLog()
+        undone = []
+        for tag in (b"a", b"b", b"c"):
+            slot = log.append(request_entry(tag))
+            log.mark_executed(slot, lambda t=tag: undone.append(t))
+        log.mark_committed_up_to(1)
+        with pytest.raises(ValueError, match="committed slot 1"):
+            log.rollback_to(1)
+        with pytest.raises(ValueError):
+            log.overwrite_with_noop(0, evidence=None, view=1)
+        # Nothing was undone and the cursors did not move.
+        assert undone == []
+        assert log.exec_cursor == 3 and log.commit_cursor == 2
+
+    def test_rollback_above_commit_cursor_runs_undos_in_reverse(self):
+        log = ReplicaLog()
+        order = []
+        for tag in (b"a", b"b", b"c", b"d"):
+            slot = log.append(request_entry(tag))
+            log.mark_executed(slot, lambda t=tag: order.append(t))
+        log.mark_committed_up_to(0)
+        suffix = log.rollback_to(1)
+        assert order == [b"d", b"c", b"b"]
+        assert len(suffix) == 3 and not any(e.executed for e in suffix)
+        assert log.exec_cursor == 1
+        # An unexecuted slot below the cursor has nothing to undo.
+        log.mark_committed_up_to(3)
+        assert log.rollback_to(1) == log.entries[1:]
 
 
 class TestQuorumTracker:

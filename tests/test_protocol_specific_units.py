@@ -110,6 +110,19 @@ class TestNeoBftStateSync:
         suffix = replica._log_summary()
         assert len(suffix) == len(replica.log) - replica.log.commit_cursor
 
+    def test_sync_points_release_undo_state(self):
+        cluster, _ = run_cluster(
+            "neobft-hm", clients=6, duration=ms(15),
+            replica_kwargs={"sync_interval": 64},
+        )
+        for replica in cluster.replicas:
+            log = replica.log
+            with_undo = [s for s, e in enumerate(log.entries) if e.undo is not None]
+            # Only the uncommitted suffix keeps rollback state, and a sync
+            # point bounds that suffix.
+            assert with_undo == list(range(log.commit_cursor, len(log)))
+            assert len(with_undo) < replica.sync_interval
+
 
 class TestPbftCheckpoints:
     def test_stable_checkpoints_garbage_collect(self):
