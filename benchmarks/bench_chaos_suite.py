@@ -121,7 +121,8 @@ def summarize(run, total_ns: int):
     lines.append(f"retries: {run.result.retries}, aborted: {run.result.aborted}, "
                  f"invariant checks: {run.monitor.checks}")
     lines.append(f"state transfers on recovery: "
-                 f"{run.result.replica_metrics.get('state_transfers', 0)}")
+                 f"{run.result.replica_metrics.get('state_transfers', 0)}, checkpoint "
+                 f"installs: {run.result.replica_metrics.get('checkpoint_installs', 0)}")
     report("chaos_suite", lines)
     return failover_ms, pre_fault_rate, post_failover_rate
 

@@ -44,6 +44,7 @@ def main() -> int:
         f"cases run: {fuzz_report.cases_run}",
         f"client ops completed: {fuzz_report.completed_ops}",
         f"invariant checks: {fuzz_report.invariant_checks}",
+        f"checkpoint installs: {fuzz_report.checkpoint_installs}",
         f"violations: {len(fuzz_report.findings)}",
     ]
     for finding in fuzz_report.findings:

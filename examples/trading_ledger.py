@@ -44,16 +44,16 @@ class MatchingEngine(StateMachine):
         self.trades = 0
         self.volume = 0
 
-    def _snapshot(self):
+    def snapshot(self):
         return (list(self.bids), list(self.asks), self.trades, self.volume)
 
-    def _restore(self, snapshot) -> None:
+    def restore(self, snapshot) -> None:
         self.bids, self.asks, self.trades, self.volume = (
             list(snapshot[0]), list(snapshot[1]), snapshot[2], snapshot[3],
         )
 
     def execute_with_undo(self, op: bytes):
-        snapshot = self._snapshot()
+        snapshot = self.snapshot()
         side, price, quantity = struct.unpack(">BII", op)
         fills = self._match(side, price, quantity)
         result = struct.pack(">I", len(fills)) + b"".join(
@@ -61,7 +61,7 @@ class MatchingEngine(StateMachine):
         )
 
         def undo() -> None:
-            self._restore(snapshot)
+            self.restore(snapshot)
 
         return result, undo
 

@@ -8,6 +8,13 @@ holds between t-1 and 2t-1 keys; all leaves sit at the same depth.
 Supports insert (upsert), point lookup, deletion with rebalancing
 (borrow/merge), ordered iteration, and range scans. The property-based
 test suite drives it against a dict model under random operation streams.
+
+Snapshots are O(1) by path copying: every node records the owner token of
+the tree version that may mutate it in place. :meth:`BTree.snapshot`
+retires the live token, so all existing nodes become shared and
+immutable; a later write copies each node on the path it touches (and
+the siblings it rebalances with) before changing it. A replica can thus
+checkpoint a 12K-record store without copying it.
 """
 
 from __future__ import annotations
@@ -18,15 +25,13 @@ from typing import Iterator, List, Optional, Tuple
 class BTreeNode:
     """One B-tree node; ``children`` empty means leaf."""
 
-    __slots__ = ("keys", "values", "children")
+    __slots__ = ("keys", "values", "children", "owner")
 
-    def __init__(self, leaf: bool):
+    def __init__(self, owner: object):
         self.keys: List[bytes] = []
         self.values: List[bytes] = []
-        self.children: List["BTreeNode"] = []
-        if leaf:
-            # Leaves simply keep children empty.
-            pass
+        self.children: List["BTreeNode"] = []  # empty for leaves
+        self.owner = owner  # token of the tree version that may mutate it
 
     @property
     def leaf(self) -> bool:
@@ -40,8 +45,43 @@ class BTree:
         if min_degree < 2:
             raise ValueError("B-tree minimum degree must be >= 2")
         self.t = min_degree
-        self.root = BTreeNode(leaf=True)
+        self._owner = object()
+        self.root = BTreeNode(self._owner)
         self.size = 0
+
+    # ------------------------------------------------------------ snapshots
+
+    def snapshot(self) -> "BTree":
+        """An independent tree with the current contents, in O(1).
+
+        Both trees get fresh owner tokens, so neither mutates a node the
+        other can still see.
+        """
+        self._owner = object()
+        copy = BTree.__new__(BTree)
+        copy.t = self.t
+        copy._owner = object()
+        copy.root = self.root
+        copy.size = self.size
+        return copy
+
+    def _writable(self, node: BTreeNode) -> BTreeNode:
+        """``node`` itself when this version owns it, else a private copy."""
+        if node.owner is self._owner:
+            return node
+        copy = BTreeNode(self._owner)
+        copy.keys = node.keys[:]
+        copy.values = node.values[:]
+        copy.children = node.children[:]
+        return copy
+
+    def _writable_child(self, parent: BTreeNode, index: int) -> BTreeNode:
+        """Child ``index`` of a writable ``parent``, made writable in place."""
+        child = parent.children[index]
+        if child.owner is not self._owner:
+            child = self._writable(child)
+            parent.children[index] = child
+        return child
 
     # -------------------------------------------------------------- lookup
 
@@ -67,8 +107,10 @@ class BTree:
     def put(self, key: bytes, value: bytes) -> Optional[bytes]:
         """Upsert; returns the previous value (None if fresh insert)."""
         root = self.root
+        if root.owner is not self._owner:
+            root = self.root = self._writable(root)
         if len(root.keys) == 2 * self.t - 1:
-            new_root = BTreeNode(leaf=False)
+            new_root = BTreeNode(self._owner)
             new_root.children.append(root)
             self._split_child(new_root, 0)
             self.root = new_root
@@ -76,8 +118,8 @@ class BTree:
 
     def _split_child(self, parent: BTreeNode, index: int) -> None:
         t = self.t
-        child = parent.children[index]
-        sibling = BTreeNode(leaf=child.leaf)
+        child = self._writable_child(parent, index)
+        sibling = BTreeNode(self._owner)
         parent.keys.insert(index, child.keys[t - 1])
         parent.values.insert(index, child.values[t - 1])
         sibling.keys = child.keys[t:]
@@ -90,6 +132,7 @@ class BTree:
         parent.children.insert(index + 1, sibling)
 
     def _insert_nonfull(self, node: BTreeNode, key: bytes, value: bytes) -> Optional[bytes]:
+        owner = self._owner
         while True:
             index = _lower_bound(node.keys, key)
             if index < len(node.keys) and node.keys[index] == key:
@@ -102,6 +145,8 @@ class BTree:
                 self.size += 1
                 return None
             child = node.children[index]
+            if child.owner is not owner:  # shared with a snapshot
+                child = self._writable_child(node, index)
             if len(child.keys) == 2 * self.t - 1:
                 self._split_child(node, index)
                 if key == node.keys[index]:
@@ -118,6 +163,7 @@ class BTree:
 
     def delete(self, key: bytes) -> Optional[bytes]:
         """Remove ``key``; returns its value, or None when absent."""
+        self.root = self._writable(self.root)
         removed = self._delete(self.root, key)
         if not self.root.keys and not self.root.leaf:
             self.root = self.root.children[0]
@@ -137,10 +183,10 @@ class BTree:
             return None
         # Ensure the child we descend into has at least t keys.
         child_index = index
-        child = node.children[child_index]
+        child = self._writable_child(node, child_index)
         if len(child.keys) == t - 1:
             child_index = self._fill_child(node, child_index)
-            child = node.children[child_index]
+            child = self._writable_child(node, child_index)
         return self._delete(child, key)
 
     def _delete_internal(self, node: BTreeNode, index: int) -> bytes:
@@ -151,12 +197,12 @@ class BTree:
             pred_key, pred_value = self._max_entry(left)
             node.keys[index] = pred_key
             node.values[index] = pred_value
-            self._delete(left, pred_key)
+            self._delete(self._writable_child(node, index), pred_key)
         elif len(right.keys) >= t:
             succ_key, succ_value = self._min_entry(right)
             node.keys[index] = succ_key
             node.values[index] = succ_value
-            self._delete(right, succ_key)
+            self._delete(self._writable_child(node, index + 1), succ_key)
         else:
             key = node.keys[index]
             self._merge_children(node, index)
@@ -179,8 +225,8 @@ class BTree:
         return index
 
     def _borrow_from_left(self, node: BTreeNode, index: int) -> None:
-        child = node.children[index]
-        left = node.children[index - 1]
+        child = self._writable_child(node, index)
+        left = self._writable_child(node, index - 1)
         child.keys.insert(0, node.keys[index - 1])
         child.values.insert(0, node.values[index - 1])
         node.keys[index - 1] = left.keys.pop()
@@ -189,8 +235,8 @@ class BTree:
             child.children.insert(0, left.children.pop())
 
     def _borrow_from_right(self, node: BTreeNode, index: int) -> None:
-        child = node.children[index]
-        right = node.children[index + 1]
+        child = self._writable_child(node, index)
+        right = self._writable_child(node, index + 1)
         child.keys.append(node.keys[index])
         child.values.append(node.values[index])
         node.keys[index] = right.keys.pop(0)
@@ -200,8 +246,8 @@ class BTree:
 
     def _merge_children(self, node: BTreeNode, index: int) -> None:
         """Merge child ``index``, separator, and child ``index+1``."""
-        child = node.children[index]
-        right = node.children.pop(index + 1)
+        child = self._writable_child(node, index)
+        right = node.children.pop(index + 1)  # only read from here on
         child.keys.append(node.keys.pop(index))
         child.values.append(node.values.pop(index))
         child.keys.extend(right.keys)

@@ -8,7 +8,7 @@ Operation wire format (first byte is the opcode):
 - ``S`` + klen(2B) + start + end   -> range scan; result = count (4B)
 
 Updates and deletes return undo closures so speculative executions roll
-back precisely.
+back precisely; snapshots share B-tree nodes with the live store.
 """
 
 from __future__ import annotations
@@ -108,6 +108,15 @@ class KeyValueApp(StateMachine):
         return sha256_digest(
             b"kv:%d:%d:" % (len(self.tree), self._mutations) + first[0] + first[1]
         )
+
+    def snapshot(self) -> Tuple[BTree, int]:
+        # Path-copying B-tree: the capture shares every node with the live
+        # store until a later write copies the path it touches.
+        return self.tree.snapshot(), self._mutations
+
+    def restore(self, snapshot: Tuple[BTree, int]) -> None:
+        tree, self._mutations = snapshot
+        self.tree = tree.snapshot()
 
     def exec_cost_ns(self, op: bytes, cost_model: CostModel = DEFAULT_COST_MODEL) -> int:
         base = cost_model.kv_op_ns

@@ -7,6 +7,9 @@ All NeoBFT-family protocols replicate deterministic state machines
   Paxos) may execute an operation and later learn the slot committed as a
   no-op; ``execute_with_undo`` returns an inverse closure so the replica
   can roll back without snapshotting whole state;
+- **checkpoints**: ``snapshot``/``restore`` capture and reinstall the
+  whole state, so a replica can garbage-collect its log below a
+  checkpoint and a laggard can install one instead of replaying;
 - **cost accounting**: ``exec_cost_ns`` tells the replica how much
   simulated CPU an operation charges, so application weight shows up in
   protocol throughput (the effect §6.5 measures).
@@ -14,7 +17,7 @@ All NeoBFT-family protocols replicate deterministic state machines
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from repro.crypto.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.crypto.digests import sha256_digest
@@ -36,6 +39,18 @@ class StateMachine:
 
     def digest(self) -> bytes:
         """Digest of the current application state (checkpoints)."""
+        raise NotImplementedError
+
+    def snapshot(self) -> Any:
+        """An immutable capture of the current state, cheap to take.
+
+        Later execution must not change it: apps share structure with
+        the live state or copy small state outright.
+        """
+        raise NotImplementedError
+
+    def restore(self, snapshot: Any) -> None:
+        """Reinstall a state captured by :meth:`snapshot` (which stays valid)."""
         raise NotImplementedError
 
     def exec_cost_ns(self, op: bytes, cost_model: CostModel = DEFAULT_COST_MODEL) -> int:
@@ -65,6 +80,12 @@ class EchoApp(StateMachine):
     def digest(self) -> bytes:
         return sha256_digest(b"echo:%d" % self.executed)
 
+    def snapshot(self) -> int:
+        return self.executed
+
+    def restore(self, snapshot: int) -> None:
+        self.executed = snapshot
+
 
 class CounterApp(StateMachine):
     """A tiny stateful app for tests: ops add signed deltas to a counter.
@@ -87,3 +108,9 @@ class CounterApp(StateMachine):
 
     def digest(self) -> bytes:
         return sha256_digest(b"counter:%d" % self.value)
+
+    def snapshot(self) -> int:
+        return self.value
+
+    def restore(self, snapshot: int) -> None:
+        self.value = snapshot

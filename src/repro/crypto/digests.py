@@ -11,7 +11,7 @@ Two uses in the paper map here:
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional
+from typing import List
 
 DIGEST_SIZE = 32
 
@@ -34,7 +34,8 @@ class HashChain:
     NeoBFT replies carry ``log-hash`` — the chain head over the log prefix —
     computed in O(1) per request exactly as Speculative Paxos does. The
     chain also supports truncation for speculative rollback: heads for every
-    position are retained so rolling back to slot *k* is O(1) too.
+    position are retained so rolling back to slot *k* is O(1) too, and
+    :meth:`rebase` drops the heads below a garbage-collection point.
     """
 
     def __init__(self, genesis: bytes = _EMPTY):
@@ -67,6 +68,16 @@ class HashChain:
             raise IndexError(f"cannot truncate chain of {len(self)} to {length}")
         del self._heads[length + 1 :]
 
+    def rebase(self, length: int) -> None:
+        """Forget the heads before ``length``; the head there becomes genesis.
+
+        Positions then count from the new genesis (log garbage collection
+        keeps only the heads at and above its low-water mark).
+        """
+        if not 0 <= length <= len(self):
+            raise IndexError(f"cannot rebase chain of {len(self)} at {length}")
+        del self._heads[:length]
+
     @staticmethod
     def verify(genesis: bytes, element_digests: List[bytes], head: bytes) -> bool:
         """Recompute a chain from scratch and compare against ``head``.
@@ -97,24 +108,3 @@ def combine_seq_and_digest(sequence: int, message_digest: bytes) -> bytes:
     """The authenticator input defined in §4.1: digest || sequence number."""
     return message_digest + digest_int(sequence)
 
-
-class Checkpointer:
-    """Rolling digests over application snapshots, for protocol checkpoints."""
-
-    def __init__(self):
-        self._last: Optional[bytes] = None
-        self._count = 0
-
-    def checkpoint(self, state_digest: bytes) -> bytes:
-        """Fold a new state digest into the rolling checkpoint digest."""
-        if self._last is None:
-            self._last = sha256_digest(state_digest)
-        else:
-            self._last = chain_step(self._last, state_digest)
-        self._count += 1
-        return self._last
-
-    @property
-    def count(self) -> int:
-        """Number of checkpoints taken."""
-        return self._count

@@ -108,6 +108,7 @@ class FuzzOutcome:
     completed_ops: int
     invariant_checks: int
     fired_events: int
+    checkpoint_installs: int = 0  # laggards caught up past collected slots
 
     @property
     def ok(self) -> bool:
@@ -310,6 +311,9 @@ def run_case(case: FuzzCase) -> FuzzOutcome:
         completed_ops=len(history),
         invariant_checks=monitor.checks,
         fired_events=sum(1 for e in campaign.timeline if e.action == "inject"),
+        checkpoint_installs=sum(
+            replica.metrics.get("checkpoint_installs") for replica in cluster.replicas
+        ),
     )
 
 
@@ -542,6 +546,7 @@ class FuzzReport:
     cases_run: int = 0
     completed_ops: int = 0
     invariant_checks: int = 0
+    checkpoint_installs: int = 0
     findings: List[FuzzFinding] = field(default_factory=list)
 
     @property
@@ -553,8 +558,9 @@ def _fuzz_point(protocol: str, seed: int, budget: FuzzBudget, shrink: bool):
     """One sweep point; module-level so worker processes can unpickle it."""
     case = generate_case(protocol, seed, budget)
     outcome = run_case(case)
+    counts = (outcome.completed_ops, outcome.invariant_checks, outcome.checkpoint_installs)
     if outcome.violation is None:
-        return (outcome.completed_ops, outcome.invariant_checks, None)
+        return counts + (None,)
     shrunk_case, stats = (
         shrink_case(case, outcome.violation)
         if shrink
@@ -567,7 +573,7 @@ def _fuzz_point(protocol: str, seed: int, budget: FuzzBudget, shrink: bool):
         shrunk=case_to_dict(shrunk_case, outcome.violation),
         shrink_stats=stats,
     )
-    return (outcome.completed_ops, outcome.invariant_checks, finding)
+    return counts + (finding,)
 
 
 def fuzz_sweep(
@@ -604,9 +610,10 @@ def fuzz_sweep(
             results = [_fuzz_point(p, s, budget, shrink) for p, s in points]
 
     report = FuzzReport(cases_run=len(points))
-    for ops, checks, finding in results:
+    for ops, checks, installs, finding in results:
         report.completed_ops += ops
         report.invariant_checks += checks
+        report.checkpoint_installs += installs
         if finding is not None:
             if artifacts_dir is not None:
                 path = Path(artifacts_dir) / (

@@ -8,7 +8,10 @@ campaign must never be able to break:
    slot (digests must match across every replica that commits it).
 2. **Prefix monotonicity** — a replica's committed prefix only grows,
    and entries inside it are never rewritten (checked in O(1) per commit
-   via the log's hash chain, not by rescanning the prefix).
+   via the log's hash chain, not by rescanning the prefix). Every commit
+   point's chain head must also match the head any other replica
+   committed there, which is how a checkpoint install — a cursor jump
+   across slots the log no longer holds — is checked.
 3. **Ordered delivery** — each replica's aom stream (certificates plus
    drop-notifications) is exactly the contiguous sequence 1, 2, 3, …
    within an epoch, and every certificate carries the sequence number it
@@ -46,8 +49,14 @@ class InvariantMonitor:
         self.violations: List[str] = []
         self._sim = None  # set at attach; used to find the telemetry sink
         self._restores: List[Callable[[], None]] = []
-        # slot -> (digest, name of the first replica to commit it)
+        # slot -> (digest, name of the first replica to commit it), and
+        # commit cursor -> (chain head there, name of the first replica).
+        # Both are pruned below the lowest watched commit cursor: any later
+        # committer of slot s has a cursor <= s.
         self._slot_digests: Dict[int, Tuple[bytes, str]] = {}
+        self._prefix_heads: Dict[int, Tuple[bytes, str]] = {}
+        self._logs: List[ReplicaLog] = []
+        self._pruned_below = 0
         # replica name -> (commit_cursor, chain hash over the committed prefix)
         self._commit_watch: Dict[str, Tuple[int, Optional[bytes]]] = {}
         # (replica name, epoch) -> next expected aom sequence
@@ -76,6 +85,7 @@ class InvariantMonitor:
     # -------------------------------------------------------------- commits
 
     def _watch_commits(self, replica, log: ReplicaLog) -> None:
+        self._logs.append(log)
         original = log.mark_committed_up_to
 
         def checked(slot: int) -> None:
@@ -99,16 +109,18 @@ class InvariantMonitor:
             self._fail(
                 f"{name}: committed prefix shrank from {prev_cursor} to {after}"
             )
-        if prev_hash is not None and log.hash_up_to(prev_cursor - 1) != prev_hash:
+        if (
+            prev_hash is not None
+            and prev_cursor >= log.low_mark  # else a checkpoint replaced it
+            and log.hash_up_to(prev_cursor - 1) != prev_hash
+        ):
             self._fail(
                 f"{name}: committed prefix [0, {prev_cursor}) was rewritten "
                 "after it became durable"
             )
-        self._commit_watch[name] = (
-            after,
-            log.hash_up_to(after - 1) if after > 0 else None,
-        )
-        for slot in range(before, after):
+        head = log.hash_up_to(after - 1) if after > 0 else None
+        self._commit_watch[name] = (after, head)
+        for slot in range(max(before, log.low_mark), after):
             entry = log.get(slot)
             seen = self._slot_digests.get(slot)
             if seen is None:
@@ -127,7 +139,27 @@ class InvariantMonitor:
                     f"{seen[0].hex()[:12]}",
                     trace=trace,
                 )
+        seen_head = self._prefix_heads.get(after)
+        if seen_head is None:
+            self._prefix_heads[after] = (head, name)
+        elif seen_head[0] != head:
+            self._fail(
+                f"conflicting prefixes [0, {after}): {name} committed head "
+                f"{head.hex()[:12]} but {seen_head[1]} committed "
+                f"{seen_head[0].hex()[:12]}"
+            )
         self.checks += 1
+        self._prune()
+
+    def _prune(self) -> None:
+        floor = min(log.commit_cursor for log in self._logs)
+        if floor <= self._pruned_below:
+            return
+        for slot in range(self._pruned_below, floor):
+            self._slot_digests.pop(slot, None)
+        for cursor in [c for c in self._prefix_heads if c < floor]:
+            del self._prefix_heads[cursor]
+        self._pruned_below = floor
 
     # ------------------------------------------------------------- delivery
 

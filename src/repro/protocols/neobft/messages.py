@@ -16,6 +16,7 @@ from typing import Any, Optional, Tuple
 from repro.aom.messages import OrderingCertificate
 from repro.crypto.backend import Signature
 from repro.crypto.digests import digest_concat, digest_int
+from repro.protocols.log import Checkpoint
 
 
 @dataclass(frozen=True, order=True)
@@ -265,14 +266,22 @@ class StateTransferRequest:
 
 @dataclass(frozen=True)
 class StateTransferReply:
-    """Entries answering a :class:`StateTransferRequest`."""
+    """Entries answering a :class:`StateTransferRequest`.
+
+    When the requested slots are collected at the sender, the reply starts
+    at its low-water mark and carries the checkpoint there.
+    """
 
     epoch: int
     from_slot: int
     entries: Tuple[LogEntrySummary, ...]
+    checkpoint: Optional[Checkpoint] = None
 
     def wire_size(self) -> int:
-        return 20 + sum(e.wire_size() for e in self.entries)
+        size = 20 + sum(e.wire_size() for e in self.entries)
+        if self.checkpoint is not None:
+            size += self.checkpoint.wire_size()
+        return size
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,10 @@ Structure of this module:
   leader-driven binary gap agreement;
 - **state sync**: every ``sync_interval`` slots replicas exchange sync
   messages; 2f matching ones advance the committed prefix (the rollback
-  bound, and the suffix origin for view changes);
+  bound, and the suffix origin for view changes). Each sync boundary also
+  gets a checkpoint, and the log is collected below the previous stable
+  sync point; a laggard behind that point installs a checkpoint that f+1
+  replicas vouch for (state transfer);
 - **view changes**: leader replacement (same epoch) and epoch replacement
   (sequencer failover), with the B.1 log merge over 2f+1 view-change
   messages and epoch certificates for cross-epoch consistency.
@@ -36,7 +39,7 @@ from repro.aom.messages import (
     OrderingCertificate,
 )
 from repro.protocols.base import BaseReplica, ReplicaGroup
-from repro.protocols.log import EntryKind, LogEntry, ReplicaLog, NOOP_DIGEST
+from repro.protocols.log import Checkpoint, EntryKind, LogEntry, ReplicaLog, NOOP_DIGEST
 from repro.protocols.messages import ClientReply, ClientRequest
 from repro.protocols.neobft.messages import (
     EpochCertificate,
@@ -148,6 +151,9 @@ class NeoBftReplica(BaseReplica):
         self._epoch_start_votes: Dict[Tuple[int, int], Dict[int, EpochStart]] = {}
         self._pending_epoch_entry: Optional[Tuple[ViewId, int]] = None
         self._sent_view_start: Dict[ViewId, bool] = {}
+
+        # State transfer: the latest checkpoint each peer offered.
+        self._checkpoint_offers: Dict[int, Checkpoint] = {}
 
         # Client unicast-retry suspicion (§5.3 / §5.5 trigger).
         self._direct_timers: Dict[Tuple[int, int], object] = {}
@@ -294,8 +300,27 @@ class NeoBftReplica(BaseReplica):
             entry = self.log.get(slot)
             if entry.kind == EntryKind.NOOP:
                 self.log.mark_executed(slot, None)
-                continue
-            self._execute_request_entry(slot, entry)
+            else:
+                self._execute_request_entry(slot, entry)
+            if self.log.exec_cursor % self.sync_interval == 0:
+                self._take_checkpoint()
+
+    def _take_checkpoint(self) -> None:
+        """Checkpoint the state at the sync boundary execution just reached.
+
+        Charges no simulated CPU: snapshots are O(1) (the KV store shares
+        B-tree nodes) and model reclamation off the critical path.
+        """
+        slot = self.log.exec_cursor
+        self.log.checkpoints[slot] = Checkpoint(
+            slot=slot,
+            head=self.log.hash_up_to(slot - 1),
+            app_digest=self.app.digest(),
+            app_state=self.app.snapshot(),
+            request_ids=tuple(
+                (client_id, seen[0]) for client_id, seen in self.client_table.items()
+            ),
+        )
 
     def _execute_request_entry(self, slot: int, entry: LogEntry) -> None:
         request: ClientRequest = entry.request
@@ -480,6 +505,13 @@ class NeoBftReplica(BaseReplica):
     def _on_query(self, src: int, query: Query) -> None:
         if query.view.epoch != self.view_id.epoch:
             return  # certificates transfer within an epoch; leader-num may lag
+        if query.slot < self.log.low_mark:
+            # Collected: the querier is a full interval behind; answer with
+            # the checkpoint and everything we hold past it.
+            self._on_state_transfer_request(
+                src, StateTransferRequest(self.view_id.epoch, query.slot, len(self.log))
+            )
+            return
         cert = self._entry_certificate(query.slot)
         if cert is not None:
             self.send(src, QueryReply(self.view_id, query.slot, cert))
@@ -524,14 +556,19 @@ class NeoBftReplica(BaseReplica):
         if slot != self.log.next_slot:
             return
         self._clear_gap_timers(slot)
+        self._unblock()
+        self._append_request(oc)
+        self._drain()
+
+    def _unblock(self) -> None:
         self.blocked_slot = None
         if self._blocked_timer is not None:
             self._blocked_timer.cancel()
             self._blocked_timer = None
-        self._append_request(oc)
-        self._drain()
 
     def _resolve_gap_with_noop(self, slot: int, gap_cert: Tuple[GapCommit, ...]) -> None:
+        if slot < self.log.low_mark:
+            return  # collected: committed long ago
         self._gap_certs[slot] = gap_cert
         self._clear_gap_timers(slot)
         if slot < self.log.next_slot:
@@ -555,10 +592,7 @@ class NeoBftReplica(BaseReplica):
             )
             self._execute_ready()
         if self.blocked_slot == slot:
-            self.blocked_slot = None
-            if self._blocked_timer is not None:
-                self._blocked_timer.cancel()
-                self._blocked_timer = None
+            self._unblock()
             self._drain()
 
     def _clear_gap_timers(self, slot: int) -> None:
@@ -775,15 +809,20 @@ class NeoBftReplica(BaseReplica):
     def _record_sync_vote(self, sync: SyncMessage) -> None:
         votes = self._sync_votes.setdefault(sync.slot, {})
         votes[sync.replica] = sync
-        # 2f from others (plus self) finalizes the sync point.
+        # 2f from others (plus self) finalizes the sync point; the log then
+        # collects below the previous one, and so do the gap certificates.
         if len(votes) > 2 * self.group.f and sync.slot <= len(self.log):
+            mark = self.log.low_mark
             self.log.mark_committed_up_to(sync.slot - 1)
             self.metrics.add("sync_points")
+            if self.log.low_mark > mark:
+                for slot in [s for s in self._gap_certs if s < self.log.low_mark]:
+                    del self._gap_certs[slot]
             for stale in [s for s in self._sync_votes if s < sync.slot]:
                 self._sync_votes.pop(stale, None)
 
     def _apply_foreign_gap_cert(self, slot: int, cert: Tuple[GapCommit, ...]) -> None:
-        if slot in self._gap_certs:
+        if slot in self._gap_certs or slot < self.log.low_mark:
             return
         if len(cert) < self.group.quorum:
             return
@@ -808,22 +847,7 @@ class NeoBftReplica(BaseReplica):
 
     def _log_summary(self) -> Tuple[LogEntrySummary, ...]:
         """Suffix of the log after the committed prefix, as summaries."""
-        out = []
-        for slot in range(self.log.commit_cursor, len(self.log)):
-            entry = self.log.get(slot)
-            out.append(
-                LogEntrySummary(
-                    slot=slot,
-                    is_noop=entry.kind == EntryKind.NOOP,
-                    epoch=entry.epoch,
-                    digest=entry.digest,
-                    request=entry.request,
-                    oc=entry.evidence if isinstance(entry.evidence, OrderingCertificate) else None,
-                    gap_cert=entry.evidence if isinstance(entry.evidence, tuple) else
-                    self._gap_certs.get(slot, ()),
-                )
-            )
-        return tuple(out)
+        return self._summaries_range(self.log.commit_cursor, len(self.log))
 
     def _initiate_view_change(self, new_view: ViewId) -> None:
         if self._vc_sent_for is not None and self._vc_sent_for >= new_view:
@@ -956,9 +980,12 @@ class NeoBftReplica(BaseReplica):
             # view-change suffixes did not reach back far enough): fetch
             # the missing entries, then re-announce at the agreed slot.
             if slot > len(self.log):
-                voter = next(r for r in votes if r != self.address)
+                # Ask every voter: a reply that carries a checkpoint needs
+                # f+1 matching ones before it is installed.
                 self.metrics.add("state_transfers")
-                self.send(voter, StateTransferRequest(epoch, len(self.log), slot))
+                for voter in votes:
+                    if voter != self.address:
+                        self.send(voter, StateTransferRequest(epoch, len(self.log), slot))
             return
         cert = EpochCertificate(
             epoch=epoch,
@@ -985,7 +1012,8 @@ class NeoBftReplica(BaseReplica):
         through a stretch of deliveries pulls the missed entries in one
         sweep instead of discovering them slot by slot through gap
         agreements. Peers clamp the range to their own log length, so an
-        open-ended request is safe.
+        open-ended request is safe; a peer that collected the start of the
+        range sends its checkpoint instead (installed once f+1 match).
         """
         self.metrics.add("state_transfers")
         target = up_to if up_to is not None else len(self.log) + 1_000_000
@@ -996,7 +1024,7 @@ class NeoBftReplica(BaseReplica):
 
     def _summaries_range(self, start: int, end: int) -> Tuple[LogEntrySummary, ...]:
         out = []
-        for slot in range(max(0, start), min(end, len(self.log))):
+        for slot in range(max(self.log.low_mark, start), min(end, len(self.log))):
             entry = self.log.get(slot)
             out.append(
                 LogEntrySummary(
@@ -1013,11 +1041,20 @@ class NeoBftReplica(BaseReplica):
         return tuple(out)
 
     def _on_state_transfer_request(self, src: int, request: StateTransferRequest) -> None:
-        entries = self._summaries_range(request.from_slot, request.to_slot)
-        if entries:
-            self.send(src, StateTransferReply(request.epoch, request.from_slot, entries))
+        start, checkpoint = request.from_slot, None
+        if start < self.log.low_mark:
+            # Those slots are collected: send the checkpoint at the mark.
+            start, checkpoint = self.log.low_mark, self.log.mark_checkpoint()
+        entries = self._summaries_range(start, request.to_slot)
+        if entries or checkpoint is not None:
+            self.send(src, StateTransferReply(request.epoch, start, entries, checkpoint))
 
     def _on_state_transfer_reply(self, src: int, reply: StateTransferReply) -> None:
+        installed = False
+        if reply.checkpoint is not None and reply.checkpoint.slot > len(self.log):
+            installed = self._offer_checkpoint(src, reply.checkpoint)
+            if not installed:
+                return  # its entries start past our log end
         appended = False
         for summary in sorted(reply.entries, key=lambda e: e.slot):
             if summary.slot < len(self.log):
@@ -1040,9 +1077,13 @@ class NeoBftReplica(BaseReplica):
                              epoch=summary.epoch)
                 )
             appended = True
-        if not appended:
+        if not (appended or installed):
             return
         self._execute_ready()
+        if self.blocked_slot is not None and self.blocked_slot < len(self.log):
+            self._clear_gap_timers(self.blocked_slot)
+            self._unblock()
+            self._drain()
         # If an epoch boundary was blocked on these entries, re-announce
         # our epoch-start at the (possibly now reachable) agreed slot.
         if self._pending_epoch_entry is not None:
@@ -1062,11 +1103,50 @@ class NeoBftReplica(BaseReplica):
                 self.broadcast(epoch_start)
                 self._check_epoch_quorum(pending_view.epoch, new_slot)
 
+    def _offer_checkpoint(self, src: int, checkpoint: Checkpoint) -> bool:
+        """Count a peer's vouch; install once f+1 peers offer the same one.
+
+        Returns whether a checkpoint was installed. A Byzantine peer alone
+        can never reach f+1, and its snapshot is also checked against the
+        vouched app digest before the install sticks.
+        """
+        if src == self.address or src not in self.group.replica_addrs:
+            return False
+        self._checkpoint_offers[src] = checkpoint
+        key = checkpoint.vouch_key
+        vouched = [cp for cp in self._checkpoint_offers.values() if cp.vouch_key == key]
+        if len(vouched) <= self.group.f:
+            return False
+        return any(self._install_checkpoint(cp) for cp in vouched)
+
+    def _install_checkpoint(self, checkpoint: Checkpoint) -> bool:
+        saved = self.app.snapshot()
+        self.app.restore(checkpoint.app_state)
+        if self.app.digest() != checkpoint.app_digest:
+            self.app.restore(saved)
+            return False
+        self.client_table = {
+            client_id: (request_id, None) for client_id, request_id in checkpoint.request_ids
+        }
+        self.log.install_checkpoint(checkpoint)
+        self._gap_certs = {s: c for s, c in self._gap_certs.items() if s >= checkpoint.slot}
+        self._last_sync_slot = max(self._last_sync_slot, checkpoint.slot)
+        self._checkpoint_offers.clear()
+        self.metrics.add("checkpoint_installs")
+        return True
+
     def _enter_view(self, new_view: ViewId) -> None:
         epoch_changed = new_view.epoch > self.view_id.epoch
         self.view_id = new_view
         self.in_view_change = False
         self._vc_sent_for = None
+        # Handlers reject views (and epochs) up to this one from now on.
+        for view in [v for v in self._vc_messages if v <= new_view]:
+            del self._vc_messages[view]
+        for view in [v for v in self._sent_view_start if v <= new_view]:
+            del self._sent_view_start[view]
+        for key in [k for k in self._epoch_start_votes if k[0] <= new_view.epoch]:
+            del self._epoch_start_votes[key]
         self.metrics.add("views_entered")
         if self._vc_timer is not None:
             self._vc_timer.cancel()
@@ -1108,9 +1188,12 @@ class NeoBftReplica(BaseReplica):
                     continue
                 if entry.slot not in merged and self._entry_is_valid(entry):
                     merged[entry.slot] = entry
-        # Step 4: no-ops override requests wherever a gap certificate exists.
+        # Step 4: no-ops override requests wherever a gap certificate exists
+        # (beyond the committed prefix, like steps 2-3).
         for vc in view_changes:
             for entry in vc.log:
+                if entry.slot < self.log.commit_cursor:
+                    continue
                 if entry.is_noop and self._entry_is_valid(entry):
                     current = merged.get(entry.slot)
                     if current is None or not current.is_noop:
@@ -1134,6 +1217,9 @@ class NeoBftReplica(BaseReplica):
         return self._validate_oc(entry.oc)
 
     def _apply_merged_log(self, merged: Dict[int, LogEntrySummary]) -> None:
+        # The committed prefix is durable (and partly collected): never
+        # rewrite it.
+        merged = {s: e for s, e in merged.items() if s >= self.log.commit_cursor}
         if not merged:
             return
         first_change: Optional[int] = None
@@ -1152,13 +1238,11 @@ class NeoBftReplica(BaseReplica):
         # The first difference may sit beyond our log's end (the merged
         # logs are longer than ours); then nothing is rewritten — we only
         # append from our current tail.
-        first_change = min(first_change, len(self.log.entries))
-        self.log.rollback_to(first_change)
+        first_change = min(first_change, len(self.log))
         # Truncate and rebuild from first_change using merged winners.
-        del self.log.entries[first_change:]
-        self.log.chain.truncate(first_change)
+        self.log.truncate_from(first_change)
         for slot in sorted(s for s in merged if s >= first_change):
-            if slot != len(self.log.entries):
+            if slot != len(self.log):
                 break  # hole in the merged coverage: stop (state transfer)
             summary = merged[slot]
             if summary.is_noop:

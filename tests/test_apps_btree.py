@@ -165,3 +165,56 @@ class BTreeMachine(RuleBasedStateMachine):
 
 TestBTreeStateful = BTreeMachine.TestCase
 TestBTreeStateful.settings = settings(max_examples=25, deadline=None)
+
+
+class TestSnapshots:
+    """Path-copying snapshots: O(1) to take, isolated in both directions."""
+
+    ops = st.lists(
+        st.tuples(
+            st.sampled_from(["put", "delete"]),
+            st.integers(0, 60),
+            st.binary(min_size=1, max_size=4),
+        ),
+        max_size=120,
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(before=ops, after=ops, degree=st.integers(2, 4))
+    def test_snapshot_reads_as_of_creation(self, before, after, degree):
+        tree, model = BTree(min_degree=degree), {}
+
+        def apply(target, target_model, batch):
+            for op, key, value in batch:
+                if op == "put":
+                    target.put(k(key), value)
+                    target_model[k(key)] = value
+                else:
+                    target.delete(k(key))
+                    target_model.pop(k(key), None)
+
+        apply(tree, model, before)
+        snap, snap_model = tree.snapshot(), dict(model)
+        apply(tree, model, after)
+        # The snapshot still reads as of its creation ...
+        snap.check_invariants()
+        assert dict(snap.items()) == snap_model and len(snap) == len(snap_model)
+        # ... and the live tree saw only its own writes.
+        tree.check_invariants()
+        assert dict(tree.items()) == model and len(tree) == len(model)
+        # Writing to the snapshot leaves the live tree alone too.
+        apply(snap, snap_model, after[::-1])
+        assert dict(tree.items()) == model
+        assert dict(snap.items()) == snap_model
+
+    def test_snapshot_shares_untouched_nodes(self):
+        tree = BTree(min_degree=4)
+        for i in range(500):
+            tree.put(k(i), b"v")
+        snap = tree.snapshot()
+        tree.put(k(0), b"changed")
+        # Only the path to key 0 was copied: the rightmost leaf is shared.
+        right = lambda t: t.root.children[-1]
+        assert tree.root is not snap.root
+        assert right(tree) is right(snap)
+        assert snap.get(k(0)) == b"v" and tree.get(k(0)) == b"changed"

@@ -216,3 +216,43 @@ class TestYcsbWorkload:
                 value = op[3 + klen :]
                 assert len(value) == 64
                 break
+
+
+class TestSnapshotRestore:
+    @pytest.mark.parametrize(
+        "make_app, op, later_op",
+        [
+            (EchoApp, b"x", b"y"),
+            (CounterApp, (3).to_bytes(8, "big", signed=True), (1).to_bytes(8, "big", signed=True)),
+            (KeyValueApp, encode_put(b"k1", b"v2"), encode_put(b"k9", b"z")),
+        ],
+    )
+    def test_restore_returns_to_snapshot_state(self, make_app, op, later_op):
+        app = make_app()
+        app.execute(op)
+        snapshot, digest = app.snapshot(), app.digest()
+        for _ in range(3):
+            app.execute(later_op)
+        assert app.digest() != digest
+        other = make_app()
+        other.restore(snapshot)
+        app.restore(snapshot)
+        assert app.digest() == other.digest() == digest
+
+    def test_kv_snapshot_survives_writes_on_both_sides(self):
+        app = KeyValueApp(min_degree=2)
+        for i in range(40):
+            app.execute(encode_put(b"key%03d" % i, b"a"))
+        snapshot, digest = app.snapshot(), app.digest()
+        app.execute(encode_put(b"key005", b"b"))
+        app.execute(encode_delete(b"key006"))
+        restored = KeyValueApp(min_degree=2)
+        restored.restore(snapshot)
+        restored.execute(encode_delete(b"key007"))
+        # Neither replica's writes leak into the snapshot or each other.
+        fresh = KeyValueApp(min_degree=2)
+        fresh.restore(snapshot)
+        assert fresh.digest() == digest
+        assert fresh.execute(encode_get(b"key005")) == b"a"
+        assert app.execute(encode_get(b"key007")) == b"a"
+        assert restored.execute(encode_get(b"key006")) == b"a"

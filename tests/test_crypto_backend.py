@@ -12,7 +12,6 @@ from repro.crypto.backend import (
 )
 from repro.crypto.costmodel import CostModel
 from repro.crypto.digests import (
-    Checkpointer,
     HashChain,
     chain_step,
     combine_seq_and_digest,
@@ -176,6 +175,19 @@ class TestHashChain:
         with pytest.raises(IndexError):
             chain.truncate(5)
 
+    def test_rebase_keeps_heads_from_new_genesis(self):
+        chain, full = HashChain(), HashChain()
+        for tag in b"abcde":
+            chain.append(sha256_digest(bytes([tag])))
+            full.append(sha256_digest(bytes([tag])))
+        chain.rebase(3)
+        assert len(chain) == 2 and chain.head_at(0) == full.head_at(3)
+        chain.append(sha256_digest(b"f"))
+        full.append(sha256_digest(b"f"))
+        assert chain.head == full.head
+        with pytest.raises(IndexError):
+            chain.rebase(4)
+
     def test_verify_recomputes(self):
         digests = [sha256_digest(bytes([i])) for i in range(5)]
         chain = HashChain()
@@ -222,13 +234,6 @@ class TestDigestHelpers:
         combined = combine_seq_and_digest(7, digest)
         assert combined.startswith(digest)
         assert combined != combine_seq_and_digest(8, digest)
-
-    def test_checkpointer_folds(self):
-        cp = Checkpointer()
-        first = cp.checkpoint(sha256_digest(b"s1"))
-        second = cp.checkpoint(sha256_digest(b"s2"))
-        assert first != second
-        assert cp.count == 2
 
 
 class TestHmacVectors:

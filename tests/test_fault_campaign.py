@@ -109,6 +109,34 @@ class TestInvariantMonitor:
         with pytest.raises(InvariantViolation, match="rewritten"):
             r1.log.mark_committed_up_to(1)
 
+    def test_slot_records_pruned_below_lowest_commit_cursor(self):
+        r1, r2 = fake_replica("r1"), fake_replica("r2")
+        monitor = InvariantMonitor().attach(SimpleNamespace(replicas=[r1, r2]))
+        for i in range(6):
+            for replica in (r1, r2):
+                replica.log.append(entry(bytes([i]) * 32))
+        r1.log.mark_committed_up_to(5)
+        r2.log.mark_committed_up_to(2)
+        # r2 may still commit slots 3..5, so only those stay recorded.
+        assert sorted(monitor._slot_digests) == [3, 4, 5]
+        r2.log.mark_committed_up_to(5)
+        assert monitor._slot_digests == {}
+        assert monitor.violations == []
+
+    def test_checkpoint_install_checked_against_committed_head(self):
+        from repro.protocols.log import Checkpoint
+
+        r1, r2, r3 = fake_replica("r1"), fake_replica("r2"), fake_replica("r3")
+        monitor = InvariantMonitor().attach(SimpleNamespace(replicas=[r1, r2, r3]))
+        for i in range(4):
+            r1.log.append(entry(bytes([i]) * 32))
+        r1.log.mark_committed_up_to(3)
+        good = Checkpoint(4, r1.log.hash_up_to(3), b"app", None, ())
+        r2.log.install_checkpoint(good)  # jumps the cursor over slots 0..3
+        assert monitor.violations == [] and monitor.checks == 2
+        with pytest.raises(InvariantViolation, match=r"conflicting prefixes \[0, 4\)"):
+            r3.log.install_checkpoint(Checkpoint(4, b"\x66" * 32, b"app", None, ()))
+
     def test_out_of_order_aom_delivery_raises(self):
         lib = SimpleNamespace(
             deliver=lambda cert: None, deliver_drop=lambda note: None

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto.digests import sha256_digest
 from repro.crypto.hmacvec import PairwiseKeys, compute_hmac
 from repro.protocols.batching import Batcher, TimedBatcher
-from repro.protocols.log import EntryKind, LogEntry, NOOP_DIGEST, ReplicaLog
+from repro.protocols.log import Checkpoint, EntryKind, LogEntry, NOOP_DIGEST, ReplicaLog
 from repro.protocols.messages import (
     ClientReply,
     ClientRequest,
@@ -114,8 +114,9 @@ class TestReplicaLog:
             log.mark_executed(slot, lambda: None)
         log.mark_committed_up_to(0)
         log.mark_committed_up_to(2)
-        assert [e.undo is None for e in log.entries] == [True, True, True, False]
-        assert [e.committed for e in log.entries] == [True, True, True, False]
+        entries = [log.get(slot) for slot in range(len(log))]
+        assert [e.undo is None for e in entries] == [True, True, True, False]
+        assert [e.committed for e in entries] == [True, True, True, False]
         assert log.commit_cursor == 3
 
     def test_execution_below_commit_cursor_keeps_no_undo(self):
@@ -156,7 +157,136 @@ class TestReplicaLog:
         assert log.exec_cursor == 1
         # An unexecuted slot below the cursor has nothing to undo.
         log.mark_committed_up_to(3)
-        assert log.rollback_to(1) == log.entries[1:]
+        assert log.rollback_to(1) == [log.get(1), log.get(2), log.get(3)]
+
+
+
+def checkpoint_at(log: ReplicaLog, slot: int) -> Checkpoint:
+    return Checkpoint(
+        slot=slot, head=log.hash_up_to(slot - 1), app_digest=b"app",
+        app_state=None, request_ids=(),
+    )
+
+
+def filled_log(count: int, checkpoint_every: int = 0) -> ReplicaLog:
+    """``count`` executed entries, checkpointed every ``checkpoint_every``."""
+    log = ReplicaLog()
+    for i in range(count):
+        slot = log.append(request_entry(b"%d" % i))
+        log.mark_executed(slot, lambda: None)
+        if checkpoint_every and log.exec_cursor % checkpoint_every == 0:
+            log.checkpoints[log.exec_cursor] = checkpoint_at(log, log.exec_cursor)
+    return log
+
+
+class TestLowWaterMark:
+    def test_collects_below_previous_commit_point(self):
+        log = filled_log(12, checkpoint_every=4)
+        reference = filled_log(12)
+        log.mark_committed_up_to(3)
+        assert log.low_mark == 0  # first commit point: nothing before it
+        log.mark_committed_up_to(7)
+        # One committed interval [4, 8) stays; [0, 4) is collected.
+        assert log.low_mark == 4 and log.commit_cursor == 8
+        assert log.get(3) is None and log.get(4) is not None
+        assert len(log) == log.next_slot == 12
+        assert sorted(log.checkpoints) == [4, 8, 12]
+        for slot in range(3, 12):
+            assert log.hash_up_to(slot) == reference.hash_up_to(slot)
+        assert log.head_hash() == reference.head_hash()
+        with pytest.raises(IndexError):
+            log.hash_up_to(2)
+        assert log.mark_checkpoint().slot == 4
+
+    def test_no_collection_without_a_checkpoint(self):
+        log = filled_log(12)
+        log.mark_committed_up_to(3)
+        log.mark_committed_up_to(7)
+        assert log.low_mark == 0 and log.get(0) is not None
+
+    def test_append_and_overwrite_use_absolute_slots(self):
+        log = filled_log(12, checkpoint_every=4)
+        log.mark_committed_up_to(3)
+        log.mark_committed_up_to(7)
+        assert log.append(request_entry(b"x")) == 12
+        log.overwrite_with_noop(10, evidence=None, view=1)
+        assert log.get(10).kind == EntryKind.NOOP
+        assert log.exec_cursor == 10
+        with pytest.raises(IndexError):
+            log.overwrite_with_noop(2, evidence=None, view=1)
+
+    def test_rollback_discards_checkpoints_past_the_slot(self):
+        log = filled_log(12, checkpoint_every=4)
+        log.mark_committed_up_to(3)
+        log.rollback_to(5)
+        assert sorted(log.checkpoints) == [4]
+        log.rollback_to(4)
+        assert sorted(log.checkpoints) == [4]  # state before slot 4 is intact
+
+    def test_truncate_from_drops_the_uncommitted_suffix(self):
+        log = filled_log(12, checkpoint_every=4)
+        reference = filled_log(9)
+        log.mark_committed_up_to(3)
+        log.mark_committed_up_to(7)
+        log.truncate_from(9)
+        assert len(log) == 9 and log.exec_cursor == 9
+        assert log.head_hash() == reference.head_hash()
+        assert sorted(log.checkpoints) == [4, 8]
+        with pytest.raises(ValueError, match="committed slot 7"):
+            log.truncate_from(7)
+
+    def test_install_checkpoint_replaces_the_log(self):
+        source = filled_log(12, checkpoint_every=4)
+        laggard = filled_log(3)
+        checkpoint = source.checkpoints[8]
+        laggard.install_checkpoint(checkpoint)
+        assert len(laggard) == 8 and laggard.get(7) is None
+        assert laggard.low_mark == laggard.exec_cursor == laggard.commit_cursor == 8
+        assert laggard.hash_up_to(7) == source.hash_up_to(7)
+        assert laggard.mark_checkpoint() is checkpoint
+        # Entries appended after the install chain on from the checkpoint.
+        laggard.append(source.get(8))
+        assert laggard.head_hash() == source.hash_up_to(8)
+        with pytest.raises(ValueError):
+            laggard.install_checkpoint(source.checkpoints[4])
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(st.sampled_from(["append", "commit", "rollback"]), st.integers(0, 40)),
+            max_size=80,
+        )
+    )
+    def test_collected_chain_matches_uncollected(self, steps):
+        """Any append/commit/rollback sequence: same heads as a log that
+        never collects (checkpoints only enable collection)."""
+        log, plain = ReplicaLog(), ReplicaLog()
+        counter = 0
+        for op, arg in steps:
+            if op == "append":
+                for target in (log, plain):
+                    target.append(request_entry(b"%d" % counter))
+                    while target.next_unexecuted() is not None:
+                        target.mark_executed(target.exec_cursor, lambda: None)
+                if log.exec_cursor % 4 == 0:
+                    log.checkpoints[log.exec_cursor] = checkpoint_at(log, log.exec_cursor)
+                counter += 1
+            elif op == "commit":
+                boundary = min(arg // 4 * 4, len(log))
+                log.mark_committed_up_to(boundary - 1)
+                plain.mark_committed_up_to(boundary - 1)
+            elif log.commit_cursor <= arg < len(log):
+                log.rollback_to(arg)
+                plain.rollback_to(arg)
+                log.truncate_from(arg)
+                plain.truncate_from(arg)
+            assert len(log) == len(plain)
+            assert log.head_hash() == plain.head_hash()
+            assert log.low_mark <= max(log.commit_cursor - 1, 0)
+            for slot in range(log.low_mark - 1, len(log)):
+                if slot >= 0:
+                    assert log.hash_up_to(slot) == plain.hash_up_to(slot)
+            assert all(s >= log.low_mark for s in log.checkpoints)
 
 
 class TestQuorumTracker:

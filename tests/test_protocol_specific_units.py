@@ -99,7 +99,9 @@ class TestNeoBftStateSync:
             assert replica.log.commit_cursor > 0
             # Committed prefix is flagged and never exceeds the log.
             assert replica.log.commit_cursor <= len(replica.log)
-            assert replica.log.get(0).committed
+            # (slots below the low-water mark are collected)
+            assert replica.log.low_mark < replica.log.commit_cursor
+            assert replica.log.get(replica.log.low_mark).committed
 
     def test_view_change_payload_shrinks_with_sync(self):
         cluster, _ = run_cluster(
@@ -117,11 +119,79 @@ class TestNeoBftStateSync:
         )
         for replica in cluster.replicas:
             log = replica.log
-            with_undo = [s for s, e in enumerate(log.entries) if e.undo is not None]
+            retained = range(log.low_mark, len(log))
+            with_undo = [s for s in retained if log.get(s).undo is not None]
             # Only the uncommitted suffix keeps rollback state, and a sync
             # point bounds that suffix.
             assert with_undo == list(range(log.commit_cursor, len(log)))
             assert len(with_undo) < replica.sync_interval
+
+    def test_retained_history_stays_bounded_over_long_runs(self):
+        """Ten times the run above: the log keeps under two sync intervals
+        of committed history (plus the uncommitted tail) at every instant,
+        however long the run."""
+        interval = 64
+        cluster = build_cluster(
+            ClusterOptions(
+                protocol="neobft-hm", num_clients=6, seed=31,
+                replica_kwargs={"sync_interval": interval},
+            )
+        )
+        for client in cluster.clients:
+            client.next_op = lambda: b"op"
+            client.start()
+        worst_committed = worst_retained = 0
+        for _ in range(150):
+            cluster.sim.run_for(ms(1))
+            for replica in cluster.replicas:
+                log = replica.log
+                worst_committed = max(worst_committed, log.commit_cursor - log.low_mark)
+                tail = len(log) - log.commit_cursor
+                worst_retained = max(worst_retained, len(log) - log.low_mark - tail)
+        assert worst_committed < 2 * interval
+        assert worst_retained < 2 * interval
+        for replica in cluster.replicas:
+            log = replica.log
+            assert len(log) > 50 * interval  # the run is long enough to matter
+            assert log.low_mark > len(log) - 4 * interval
+            # Checkpoints: the mark's and the ones above it, nothing older.
+            assert min(log.checkpoints) == log.low_mark
+            assert len(log.checkpoints) <= 3
+            assert all(s >= log.low_mark for s in replica._gap_certs)
+
+    def test_merge_ignores_noop_below_commit_cursor(self):
+        """A valid no-op summary for a committed slot must not rewrite it
+        (it may be collected, and a committed slot never rolls back)."""
+        from repro.protocols.log import NOOP_DIGEST
+        from repro.protocols.neobft.messages import GapCommit, LogEntrySummary, ViewChange
+
+        cluster, _ = run_cluster(
+            "neobft-hm", clients=6, duration=ms(15),
+            replica_kwargs={"sync_interval": 64},
+        )
+        replica = cluster.replicas[1]
+        log = replica.log
+        assert log.low_mark > 0
+        head, length = log.head_hash(), len(log)
+        for slot in (log.low_mark - 1, log.commit_cursor - 1):
+            cert = []
+            for signer in cluster.replicas[:3]:
+                commit = GapCommit(replica.view_id, signer.address, slot, True)
+                cert.append(GapCommit(
+                    commit.view, commit.replica, commit.slot, commit.is_drop,
+                    signer.crypto.sign(commit.signed_body()),
+                ))
+            summary = LogEntrySummary(
+                slot=slot, is_noop=True, epoch=replica.view_id.epoch,
+                digest=NOOP_DIGEST, request=None, oc=None, gap_cert=tuple(cert),
+            )
+            assert replica._entry_is_valid(summary)
+            vc = ViewChange(replica.view_id, replica.view_id.next_leader(),
+                            cluster.replicas[0].address, (), (summary,))
+            merged = replica._merge_logs((vc,))
+            assert slot not in merged
+            replica._apply_merged_log({slot: summary})
+            assert log.head_hash() == head and len(log) == length
 
 
 class TestPbftCheckpoints:

@@ -173,18 +173,59 @@ class TestLeaderFailure:
             and isinstance(pkt.dst, int)
             and pkt.dst < 4
         )
+        # The log collects committed history, so record what each sync
+        # point commits (it is still held when the cursor passes it).
+        from repro.protocols.log import EntryKind
+
+        reference = cluster.replicas[1]
+        log = reference.log
+        committed_noops = []
+        commit = log.mark_committed_up_to
+
+        def recording_commit(slot):
+            before = log.commit_cursor
+            commit(slot)
+            committed_noops.extend(
+                s for s in range(before, log.commit_cursor)
+                if log.get(s).kind == EntryKind.NOOP
+            )
+
+        log.mark_committed_up_to = recording_commit
         measurement = Measurement(cluster, warmup_ns=ms(1), duration_ns=ms(80))
         run = measurement.run()
         assert run.completions > 50
         live = [r for r in cluster.replicas[1:]]
         views = {r.view_id for r in live}
         assert all(v.leader_num >= 1 for v in views)
-        # The universally dropped slot committed as a no-op in the new view.
-        from repro.protocols.log import EntryKind
+        # The universally dropped slot committed as a no-op in the new view:
+        # in the committed history, or in the retained range past it.
+        retained_noops = [
+            s for s in range(log.low_mark, len(log)) if log.get(s).kind == EntryKind.NOOP
+        ]
+        assert committed_noops or retained_noops
 
-        reference = live[0]
-        noops = [e for e in reference.log.entries if e.kind == EntryKind.NOOP]
-        assert noops
+    def test_view_change_bookkeeping_pruned_after_failover(self):
+        """After a sequencer failover only views above the current one keep
+        view-change messages, view-start flags or epoch-start votes."""
+        from repro.faults.sequencer import fail_sequencer
+
+        cluster = build_cluster(ClusterOptions(protocol="neobft-hm", num_clients=4, seed=11))
+        for client in cluster.clients:
+            client.next_op = lambda: b"op"
+            client.start()
+        cluster.sim.run_for(ms(2))
+        fail_sequencer(cluster.config_service.sequencer_for(1))
+        for _ in range(60):
+            cluster.sim.run_for(ms(5))
+            if cluster.config_service.failovers_completed:
+                break
+        cluster.sim.run_for(ms(5))
+        assert cluster.config_service.failovers_completed == 1
+        for replica in cluster.replicas:
+            assert replica.view_id.epoch == 2
+            assert all(v > replica.view_id for v in replica._vc_messages)
+            assert all(v > replica.view_id for v in replica._sent_view_start)
+            assert all(e > replica.view_id.epoch for e, _ in replica._epoch_start_votes)
 
 
 class TestGapAgreement:
@@ -222,6 +263,12 @@ class TestGapAgreement:
     def test_logs_fill_gaps_with_requests_or_noops(self):
         cluster, run = self._run_with_victim_drops(victim_index=2)
         victim = cluster.replicas[2]
-        # Every slot up to the execution cursor is occupied.
-        for slot in range(victim.log.exec_cursor):
-            assert victim.log.get(slot) is not None
+        log = victim.log
+        # Every retained slot up to the execution cursor is occupied, and
+        # the collected ones below the mark are covered by its checkpoint.
+        for slot in range(log.low_mark, log.exec_cursor):
+            assert log.get(slot) is not None
+        if log.low_mark > 0:
+            checkpoint = log.mark_checkpoint()
+            assert checkpoint.slot == log.low_mark
+            assert checkpoint.head == log.hash_up_to(log.low_mark - 1)

@@ -105,7 +105,7 @@ class TestInvariantSpanAttach:
         # the violation message carries that request's span tree.
         replica = cluster.replicas[0]
         slot = next(
-            s for s in range(replica.log.commit_cursor)
+            s for s in range(replica.log.low_mark, replica.log.commit_cursor)
             if replica.log.get(s).request is not None
         )
         entry = replica.log.get(slot)
